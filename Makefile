@@ -32,10 +32,10 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=100ms ./... | tee bench_smoke.txt
 
-# The batched-replay / island-GA perf surface: scalar vs batched replay,
-# the K-ary search's pass economics, and the Table1 consolidation at 1,
-# 2 and 4 islands. Hand-captured runs of this target feed
-# BENCH_perf_batched.json; CI runs it as part of the bench smoke job.
+# The batched-replay perf surface: scalar vs batched replay, the K-ary
+# search's pass economics, and the Table1 consolidation. Hand-captured
+# runs of this target feed BENCH_perf_batched.json; CI runs it as part
+# of the bench smoke job.
 bench-batched:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayScalar|BenchmarkReplayBatch|BenchmarkSearchBisect|BenchmarkSearchKary' -benchmem -benchtime 100x ./internal/sim/ | tee bench_batched.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1Consolidation' -benchtime 1x . | tee -a bench_batched.txt

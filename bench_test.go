@@ -12,7 +12,6 @@ package ropus
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -125,33 +124,6 @@ func BenchmarkTable1Consolidation(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(servers), "servers-total")
-}
-
-// BenchmarkTable1ConsolidationIslands times the same six-case
-// consolidation with the genetic search split into deterministic
-// islands: the epochs of every island run in parallel, so wall time
-// drops with the core count while the result stays byte-deterministic
-// per (seed, island count).
-func BenchmarkTable1ConsolidationIslands(b *testing.B) {
-	set := benchFleet(b)
-	for _, islands := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("islands=%d", islands), func(b *testing.B) {
-			cfg := experiments.Table1Config{GASeed: 42, Quick: true, Islands: islands}
-			servers := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Table1(context.Background(), set, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers = 0
-				for _, r := range rows {
-					servers += r.Servers
-				}
-			}
-			b.ReportMetric(float64(servers), "servers-total")
-		})
-	}
 }
 
 func BenchmarkFailoverAnalysis(b *testing.B) {

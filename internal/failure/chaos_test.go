@@ -3,6 +3,7 @@ package failure
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ropus/internal/faultinject"
@@ -181,5 +182,42 @@ func TestChaosAnalyzePanicRecovered(t *testing.T) {
 	}
 	if !errors.Is(err, robust.ErrPanic) {
 		t.Errorf("error should wrap robust.ErrPanic, got %v", err)
+	}
+}
+
+// TestCompletedPrefix pins how a sweep's report is cut from scenario
+// outcomes: a live context keeps every dispatched scenario; under
+// cancellation the report stops at the first scenario that observed it,
+// dropping one that failed with the cancellation's error and keeping
+// one whose search was cut short, and is flagged truncated either way —
+// even when every scenario was dispatched.
+func TestCompletedPrefix(t *testing.T) {
+	live := context.Background()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	full, cut := &placement.Plan{}, &placement.Plan{Truncated: true}
+	other := errors.New("solver failed")
+	for _, tc := range []struct {
+		name       string
+		ctx        context.Context
+		dispatched int
+		errs       []error
+		plans      []*placement.Plan
+		want       int
+		truncated  bool
+	}{
+		{"live complete", live, 3, make([]error, 3), []*placement.Plan{full, nil, full}, 3, false},
+		{"live time budget", live, 3, make([]error, 3), []*placement.Plan{cut, full, full}, 3, false},
+		{"cancelled clean", dead, 3, make([]error, 3), []*placement.Plan{full, nil, full}, 3, false},
+		{"cancelled dispatch", dead, 1, make([]error, 3), []*placement.Plan{full, nil, nil}, 1, true},
+		{"cut search kept", dead, 3, make([]error, 3), []*placement.Plan{full, cut, full}, 2, true},
+		{"last search cut", dead, 3, make([]error, 3), []*placement.Plan{full, full, cut}, 3, true},
+		{"ctx error dropped", dead, 3, []error{nil, fmt.Errorf("wrapped: %w", context.Canceled), nil}, []*placement.Plan{full, nil, full}, 1, true},
+		{"other error kept", dead, 3, []error{other, nil, nil}, []*placement.Plan{nil, full, full}, 3, false},
+	} {
+		n, truncated := completedPrefix(tc.ctx, tc.dispatched, 3, tc.errs, func(i int) *placement.Plan { return tc.plans[i] })
+		if n != tc.want || truncated != tc.truncated {
+			t.Errorf("%s: got (%d, %v), want (%d, %v)", tc.name, n, truncated, tc.want, tc.truncated)
+		}
 	}
 }

@@ -286,7 +286,8 @@ func Analyze(ctx context.Context, in Input, basePlan *placement.Plan) (report *R
 			slog.Int("attempts", scenario.Attempts))
 	})
 
-	report = &Report{Truncated: done < len(jobs)}
+	done, truncated := completedPrefix(ctx, done, len(jobs), scenarioErrs, func(i int) *placement.Plan { return scenarios[i].Plan })
+	report = &Report{Truncated: truncated}
 	errored := 0
 	for i := 0; i < done; i++ {
 		scenario := scenarios[i]
@@ -318,6 +319,29 @@ func Analyze(ctx context.Context, in Input, basePlan *placement.Plan) (report *R
 		slog.Bool("spare_needed", report.SpareNeeded),
 		slog.Bool("truncated", report.Truncated))
 	return report, nil
+}
+
+// completedPrefix returns how many leading scenarios of a sweep its
+// report carries and whether that report is truncated. Completeness is
+// judged from each scenario's outcome, not from dispatch: with several
+// workers every scenario can already be in flight when the cancel
+// lands, and each still returns. The report stops at the first scenario
+// that observed the sweep's cancellation: one that failed with the
+// cancellation's error is left out, one whose search was cut short
+// (plan(i) Truncated) is kept as its best-so-far verdict. It is
+// truncated whenever it stops short of total or ends on a cut search.
+func completedPrefix(ctx context.Context, dispatched, total int, errs []error, plan func(i int) *placement.Plan) (int, bool) {
+	if ctx.Err() != nil {
+		for i := 0; i < dispatched; i++ {
+			if errors.Is(errs[i], ctx.Err()) {
+				return i, true
+			}
+			if p := plan(i); errs[i] == nil && p != nil && p.Truncated {
+				return i + 1, true
+			}
+		}
+	}
+	return dispatched, dispatched < total
 }
 
 // analyzeScenario wraps analyzeOne with the "failure.scenario" fault

@@ -246,7 +246,8 @@ func AnalyzeMulti(ctx context.Context, in Input, basePlan *placement.Plan, k int
 		scenarios[i], scenarioErrs[i] = scenario, err
 	})
 
-	report = &MultiReport{K: k, Truncated: done < len(combos)}
+	done, truncated := completedPrefix(ctx, done, len(combos), scenarioErrs, func(i int) *placement.Plan { return scenarios[i].Plan })
+	report = &MultiReport{K: k, Truncated: truncated}
 	errored := 0
 	for i := 0; i < done; i++ {
 		scenario := scenarios[i]

@@ -315,10 +315,12 @@ func TestAnalyzeAttemptDeadlineRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first attempt for srv-a is forced over its deadline by an
-	// injected delay; the second attempt runs clean.
-	in.Retry = resilience.Policy{MaxAttempts: 2, AttemptTimeout: 30 * time.Millisecond}
+	// injected delay; the second attempt runs clean. The deadline leaves
+	// a clean attempt ample time even under the race detector, which
+	// slows a consolidation past tens of milliseconds.
+	in.Retry = resilience.Policy{MaxAttempts: 2, AttemptTimeout: time.Second}
 	in.Inject = faultinject.MustScript(1,
-		faultinject.Rule{Point: "failure.scenario", Key: "srv-a", Nth: 1, Delay: 250 * time.Millisecond})
+		faultinject.Rule{Point: "failure.scenario", Key: "srv-a", Nth: 1, Delay: time.Minute})
 	report, err := Analyze(context.Background(), in, base)
 	if err != nil {
 		t.Fatal(err)

@@ -318,7 +318,8 @@ func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, s
 		scenarios[i], scenarioErrs[i] = scenario, err
 	})
 
-	report = &MultiReport{K: 0, Truncated: done < len(normalized)}
+	done, truncated := completedPrefix(ctx, done, len(normalized), scenarioErrs, func(i int) *placement.Plan { return scenarios[i].Plan })
+	report = &MultiReport{K: 0, Truncated: truncated}
 	errored := 0
 	for i := 0; i < done; i++ {
 		scenario := scenarios[i]

@@ -22,7 +22,7 @@
 //	                        live peer lease count as expired, forcing a
 //	                        deterministic (contested) steal
 //	lease.steal             key = lease name; Delay widens the window
-//	                        between expiry detection and the steal rename,
+//	                        between expiry detection and the takeover,
 //	                        staging multi-instance steal races
 //	lease.renew             key = lease name; Err makes the holder observe
 //	                        a lost lease on its next heartbeat

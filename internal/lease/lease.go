@@ -11,18 +11,27 @@
 //
 //   - Claim: write a unique temp file, fsync it, and os.Link it to the
 //     lease path. Link fails if the path exists, so exactly one claimant
-//     wins a contested claim.
+//     wins a contested claim of an absent lease, at epoch 1.
 //   - Renew: the holder rewrites the file through its still-open file
 //     descriptor and then verifies the path still resolves to that same
 //     inode. A holder whose lease was stolen observes a different inode
 //     (or none) and learns it lost ownership.
 //   - Steal: a lease whose heartbeat is older than its TTL is expired.
-//     A stealer renames the lease path to a unique stale marker — only
-//     one concurrent stealer's rename succeeds, the rest see ENOENT —
-//     and then claims freshly with the old epoch + 1.
+//     A stealer reserves the next epoch (the old epoch + 1) by creating
+//     its per-epoch marker file exclusively — only one concurrent
+//     stealer's O_EXCL create succeeds, the rest get ErrHeld — checks
+//     the record it judged expired is still in place, and renames its
+//     new record over it. The lease path is never absent during a
+//     takeover, so a racer can never mistake a steal in progress for a
+//     free lease and reissue an old epoch. The marker is removed once
+//     the new record is in place; a marker orphaned by a claimant that
+//     died mid-takeover is skipped once it is older than the TTL, and
+//     the epoch it reserved is never issued.
 //   - Release: the holder rewrites the file as a released tombstone.
-//     The next claimant takes over immediately (no TTL wait) and still
-//     inherits the epoch sequence.
+//     The next claimant takes over immediately (no TTL wait) the same
+//     way a stealer does, and so continues the epoch sequence.
+//   - Discard: the holder removes the lease file for good (the guarded
+//     resource is finished). A later claim starts a fresh sequence.
 //
 // Torn reads are handled conservatively: a lease file that fails to
 // parse or checksum was written milliseconds ago, so observers treat it
@@ -260,7 +269,12 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 		return nil, fmt.Errorf("lease: acquire %s: %w", name, o.Err)
 	}
 	info, status := k.Read(name)
-	if status == StatusLive || status == StatusUnreadable {
+	if status == StatusUnreadable {
+		// A torn record carries no epoch to continue from, so it is
+		// never taken over, not even under a forced expiry.
+		return nil, &HeldError{Name: name}
+	}
+	if status == StatusLive {
 		// A scripted lease.expire outcome forces the expiry decision, so
 		// chaos tests can stage contested steals deterministically.
 		o := k.hit("lease.expire", name)
@@ -269,23 +283,18 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 		}
 		status = StatusExpired
 	}
-	epoch := info.Epoch + 1
-	if status == StatusExpired || status == StatusReleased {
+	var (
+		l   *Lease
+		err error
+	)
+	if status == StatusAbsent {
+		l, err = k.claim(name, 1, os.Link)
+	} else {
 		if status == StatusExpired {
 			k.hit("lease.steal", name)
 		}
-		// Unseat the previous record: exactly one concurrent stealer's
-		// rename succeeds, everyone else finds the path already gone.
-		stale := fmt.Sprintf("%s.stale.%s.%d", k.path(name), sanitize(k.Instance), uniq.Add(1))
-		if err := os.Rename(k.path(name), stale); err != nil {
-			if os.IsNotExist(err) {
-				return nil, &HeldError{Name: name}
-			}
-			return nil, fmt.Errorf("lease: steal %s: %w", name, err)
-		}
-		os.Remove(stale)
+		l, err = k.takeOver(name, info)
 	}
-	l, err := k.claim(name, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -297,10 +306,60 @@ func (k *Keeper) Acquire(name string) (*Lease, error) {
 	return l, nil
 }
 
-// claim links a freshly written record into the lease path. os.Link
-// fails if the path exists, so a concurrent claimant cannot be
-// half-overwritten: one link wins, the rest get ErrHeld.
-func (k *Keeper) claim(name string, epoch uint64) (*Lease, error) {
+// takeOver replaces the expired or released record prev with a new one
+// at the next epoch. The exclusively created epoch marker admits one
+// claimant per epoch; the re-read under the marker turns away a
+// claimant whose view of prev is stale because a peer already finished
+// taking over (and removed its marker).
+func (k *Keeper) takeOver(name string, prev Info) (*Lease, error) {
+	epoch, err := k.reserve(name, prev.Epoch)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for e := prev.Epoch + 1; e <= epoch; e++ {
+			os.Remove(k.marker(name, e))
+		}
+	}()
+	if cur, status := k.Read(name); status == StatusAbsent || cur != prev {
+		return nil, &HeldError{Name: name, Instance: cur.Instance, Epoch: cur.Epoch}
+	}
+	return k.claim(name, epoch, os.Rename)
+}
+
+// marker names the reservation file of one epoch of a lease.
+func (k *Keeper) marker(name string, epoch uint64) string {
+	return fmt.Sprintf("%s.e%d", k.path(name), epoch)
+}
+
+// reserve exclusively creates the marker of the first epoch after prev
+// and returns that epoch. A marker younger than the TTL belongs to a
+// peer taking over right now, so the caller lost (ErrHeld); an older
+// one was orphaned by a claimant that died mid-takeover, and its epoch
+// is skipped rather than reused (takeOver removes it on the way out).
+func (k *Keeper) reserve(name string, prev uint64) (uint64, error) {
+	for epoch := prev + 1; ; epoch++ {
+		path := k.marker(name, epoch)
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			f.Close()
+			return epoch, nil
+		}
+		if !os.IsExist(err) {
+			return 0, fmt.Errorf("lease: reserve %s: %w", name, err)
+		}
+		if fi, err := os.Stat(path); err != nil || k.clock().Sub(fi.ModTime()) <= k.ttl() {
+			return 0, &HeldError{Name: name}
+		}
+	}
+}
+
+// claim writes a fresh record to a unique temp file and publishes it at
+// the lease path: os.Link for an absent lease (it fails if the path
+// exists, so one concurrent claimant wins and the rest get ErrHeld), or
+// os.Rename over the previous record once takeOver holds the epoch's
+// marker.
+func (k *Keeper) claim(name string, epoch uint64, publish func(tmp, path string) error) (*Lease, error) {
 	l := &Lease{k: k, name: name, epoch: epoch}
 	tmp := fmt.Sprintf("%s.claim.%s.%d", k.path(name), sanitize(k.Instance), uniq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -313,15 +372,15 @@ func (k *Keeper) claim(name string, epoch uint64) (*Lease, error) {
 		os.Remove(tmp)
 		return nil, err
 	}
-	if err := os.Link(tmp, k.path(name)); err != nil {
+	err = publish(tmp, k.path(name))
+	os.Remove(tmp) // already gone after a rename
+	if err != nil {
 		f.Close()
-		os.Remove(tmp)
 		if os.IsExist(err) {
 			return nil, &HeldError{Name: name}
 		}
 		return nil, fmt.Errorf("lease: claim %s: %w", name, err)
 	}
-	os.Remove(tmp)
 	return l, nil
 }
 

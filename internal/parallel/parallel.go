@@ -96,7 +96,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) int {
 	dispatched := 0
 dispatch:
 	for i := 0; i < n; i++ {
-		if panicked.Load() {
+		// select picks at random among ready cases, so a cancelled
+		// context is checked first: no job is sent on a dead context.
+		if panicked.Load() || ctx.Err() != nil {
 			break
 		}
 		// The unbuffered channel means a job is "dispatched" only once a

@@ -8,10 +8,10 @@ import (
 
 // TestConsolidateAllocBudget is the allocation gate for the
 // consolidation path: a small search must stay within a fixed
-// allocation budget. The ceilings sit ~2x above the measured counts
-// (~11k single-population, ~14k islands on a warm sim cache), so GA
-// trajectory noise passes but an accidental per-slot or per-offspring
-// allocation — which multiplies counts by orders of magnitude — fails.
+// allocation budget. The ceiling sits ~2x above the measured count
+// (~11k on a warm sim cache), so GA trajectory noise passes but an
+// accidental per-slot or per-offspring allocation — which multiplies
+// counts by orders of magnitude — fails.
 func TestConsolidateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate is timing-adjacent")
@@ -20,23 +20,16 @@ func TestConsolidateAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	sizes := []float64{6, 6, 4, 4, 3, 3, 2}
 	initial := make(Assignment, len(sizes))
-	for _, tc := range []struct {
-		islands int
-		budget  float64
-	}{
-		{0, 25_000},
-		{4, 35_000},
-	} {
-		p := binPackProblem(sizes, 7, 10)
-		cfg := islandGA(11, tc.islands)
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := Consolidate(context.Background(), p, initial, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("islands=%d allocs=%v", tc.islands, allocs)
-		if allocs > tc.budget {
-			t.Errorf("islands=%d: Consolidate allocates %.0f objects per run, budget %.0f", tc.islands, allocs, tc.budget)
+	const budget = 25_000.0
+	p := binPackProblem(sizes, 7, 10)
+	cfg := smallGA(11)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Consolidate(context.Background(), p, initial, cfg); err != nil {
+			t.Fatal(err)
 		}
+	})
+	t.Logf("allocs=%v", allocs)
+	if allocs > budget {
+		t.Errorf("Consolidate allocates %.0f objects per run, budget %.0f", allocs, budget)
 	}
 }

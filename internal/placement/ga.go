@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
+	"ropus/internal/parallel"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
 )
@@ -43,17 +42,6 @@ type GAConfig struct {
 	SeedGreedy bool
 	// Seed makes the search deterministic.
 	Seed int64
-	// Islands splits the population into this many subpopulations that
-	// evolve independently (each on its own deterministically derived
-	// RNG) and exchange their best member around a ring every
-	// MigrationInterval generations. 0 or 1 runs the classic
-	// single-population search, bit-for-bit identical to earlier
-	// releases; any value is byte-deterministic per (Seed, Islands)
-	// regardless of how many worker goroutines evaluate offspring.
-	Islands int
-	// MigrationInterval is the number of generations between ring
-	// migrations when Islands > 1; 0 selects DefaultMigrationInterval.
-	MigrationInterval int
 	// TimeBudget bounds the search's wall-clock time; when it elapses the
 	// search stops at the next generation boundary and returns its best
 	// plan so far, flagged Truncated. Zero means no budget.
@@ -94,23 +82,6 @@ func (c GAConfig) Validate() error {
 		return fmt.Errorf("placement: MutationRate %v outside [0,1]", c.MutationRate)
 	case c.TimeBudget < 0:
 		return fmt.Errorf("placement: TimeBudget %v < 0", c.TimeBudget)
-	case c.Islands < 0:
-		return fmt.Errorf("placement: Islands %d < 0", c.Islands)
-	case c.MigrationInterval < 0:
-		return fmt.Errorf("placement: MigrationInterval %d < 0", c.MigrationInterval)
-	}
-	if c.Islands > 1 {
-		// Every island must be able to run the same tournament/elite
-		// machinery on its share of the population.
-		smallest := c.PopulationSize / c.Islands
-		switch {
-		case smallest < 2:
-			return fmt.Errorf("placement: PopulationSize %d splits below 2 members across %d islands", c.PopulationSize, c.Islands)
-		case c.Elite >= smallest:
-			return fmt.Errorf("placement: Elite %d >= island population %d", c.Elite, smallest)
-		case c.TournamentK > smallest:
-			return fmt.Errorf("placement: TournamentK %d > island population %d", c.TournamentK, smallest)
-		}
 	}
 	return nil
 }
@@ -128,11 +99,8 @@ func (c GAConfig) Validate() error {
 // ctx's cancellation) so that a given seed yields the same best-so-far
 // plan no matter when the cancel lands.
 //
-// With cfg.Islands > 1 the search runs the deterministic island model
-// (see islands.go): the population is split into subpopulations that
-// evolve independently and trade their best member around a ring every
-// MigrationInterval generations. Islands <= 1 runs the classic
-// single-population loop below, unchanged.
+// The search's RNG consumption order is pinned by the deterministic
+// golden tests and must not change.
 func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConfig) (plan *Plan, err error) {
 	defer robust.Recover("placement.Consolidate", &err)
 	if err := p.Validate(); err != nil {
@@ -144,16 +112,6 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 	if err := initial.Validate(p); err != nil {
 		return nil, err
 	}
-	if cfg.Islands > 1 {
-		return consolidateIslands(ctx, p, initial, cfg)
-	}
-	return consolidateSingle(ctx, p, initial, cfg)
-}
-
-// consolidateSingle is the classic single-population genetic search; its
-// RNG consumption order is pinned by the deterministic golden tests and
-// must not change.
-func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg GAConfig) (plan *Plan, err error) {
 	h := telemetry.OrNop(p.Hooks)
 	ctx, span := telemetry.StartSpanCtx(ctx, p.Hooks, "placement.consolidate",
 		telemetry.Int("apps", len(p.Apps)),
@@ -250,7 +208,7 @@ func consolidateSingle(ctx context.Context, p *Problem, initial Assignment, cfg 
 			}
 			offspring = append(offspring, a)
 		}
-		plans, err := evaluateAll(ctx, ev, offspring, 0)
+		plans, err := evaluateAll(ctx, ev, offspring)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation mid-generation: discard the partial
@@ -318,51 +276,26 @@ func meanPlanScore(pop []*Plan) float64 {
 	return sum / float64(len(pop))
 }
 
-// evaluateAll evaluates assignments concurrently, preserving order.
-// workers <= 0 selects GOMAXPROCS (island epochs pass their share of the
-// cores instead); the evaluator's cache is shared and thread-safe, so
-// duplicate groupings are still computed only ~once, and because every
-// evaluation is a pure content-keyed function the results are identical
-// at any worker count.
-func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment, workers int) ([]*Plan, error) {
+// evaluateAll evaluates assignments on the shared worker pool (one
+// worker per GOMAXPROCS), preserving order. The evaluator's cache is
+// shared and thread-safe, so duplicate groupings are still computed only
+// ~once, and because every evaluation is a pure content-keyed function
+// the results are identical at any worker count. It returns the first
+// error in assignment order, or ctx's error when cancellation stopped
+// dispatch before every assignment ran.
+func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment) ([]*Plan, error) {
 	plans := make([]*Plan, len(assignments))
 	errs := make([]error, len(assignments))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(assignments) {
-		workers = len(assignments)
-	}
-	if workers <= 1 {
-		for i, a := range assignments {
-			plan, err := ev.evaluate(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			plans[i] = plan
-		}
-		return plans, nil
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				plans[i], errs[i] = ev.evaluate(ctx, assignments[i])
-			}
-		}()
-	}
-	for i := range assignments {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
+	done := parallel.ForEach(ctx, 0, len(assignments), func(i int) {
+		plans[i], errs[i] = ev.evaluate(ctx, assignments[i])
+	})
+	for _, err := range errs[:done] {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if done < len(assignments) {
+		return nil, ctx.Err()
 	}
 	return plans, nil
 }

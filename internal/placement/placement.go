@@ -311,9 +311,8 @@ type inflightEval struct {
 
 // evalShards is the number of independent lock+map shards the
 // evaluator's per-run cache is split across. The GA's offspring
-// evaluations — and with the island model, whole islands — hammer the
-// cache from many goroutines at once; sharding by key keeps them off a
-// single mutex. Must be a power of two (keys are FNV hashes, so the low
+// evaluations hammer the cache from many goroutines at once; sharding
+// by key keeps them off a single mutex. Must be a power of two (keys are FNV hashes, so the low
 // bits are well mixed).
 const evalShards = 16
 
