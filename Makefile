@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzBreakpoint -fuzztime 30s ./internal/portfolio/
 	$(GO) test -fuzz FuzzTranslate -fuzztime 30s ./internal/portfolio/
+	$(GO) test -fuzz FuzzScenarioDSL -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzPartition -fuzztime 30s ./internal/partition/
 	$(GO) test -fuzz FuzzFleetGen -fuzztime 30s ./internal/workload/
 

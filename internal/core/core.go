@@ -324,14 +324,10 @@ func (f *Framework) PartitionPreview(ctx context.Context, t *Translation) ([][]s
 // PlanForFailures analyzes every single-server failure of the
 // consolidated configuration with the failure-mode translations.
 func (f *Framework) PlanForFailures(ctx context.Context, t *Translation, c *Consolidation) (*failure.Report, error) {
-	if t == nil || c == nil {
-		return nil, errors.New("core: need a translation and a consolidation")
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
 	}
-	failApps := make([]placement.App, len(t.Failure))
-	for i, p := range t.Failure {
-		failApps[i] = partitionApp(p)
-	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
 	return failure.Analyze(ctx, in, c.Plan)
 }
 
@@ -340,14 +336,10 @@ func (f *Framework) PlanForFailures(ctx context.Context, t *Translation, c *Cons
 // the single-failure scenario "can be extended to multiple node
 // failures").
 func (f *Framework) PlanForMultiFailures(ctx context.Context, t *Translation, c *Consolidation, k int) (*failure.MultiReport, error) {
-	if t == nil || c == nil {
-		return nil, errors.New("core: need a translation and a consolidation")
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
 	}
-	failApps := make([]placement.App, len(t.Failure))
-	for i, p := range t.Failure {
-		failApps[i] = partitionApp(p)
-	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
 	return failure.AnalyzeMulti(ctx, in, c.Plan, k)
 }
 
@@ -357,15 +349,24 @@ func (f *Framework) PlanForMultiFailures(ctx context.Context, t *Translation, c 
 // consolidated configuration, pricing every outcome with econ (nil
 // scores zero).
 func (f *Framework) PlanForScenarios(ctx context.Context, t *Translation, c *Consolidation, specs []failure.ScenarioSpec, econ *failure.Economics) (*failure.MultiReport, error) {
+	in, err := f.failureInput(t, c)
+	if err != nil {
+		return nil, err
+	}
+	return failure.AnalyzeScenarios(ctx, in, c.Plan, specs, econ)
+}
+
+// failureInput assembles the failure sweeps' input: the consolidated
+// problem, the failure-mode translations and the framework's settings.
+func (f *Framework) failureInput(t *Translation, c *Consolidation) (failure.Input, error) {
 	if t == nil || c == nil {
-		return nil, errors.New("core: need a translation and a consolidation")
+		return failure.Input{}, errors.New("core: need a translation and a consolidation")
 	}
 	failApps := make([]placement.App, len(t.Failure))
 	for i, p := range t.Failure {
 		failApps[i] = partitionApp(p)
 	}
-	in := failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}
-	return failure.AnalyzeScenarios(ctx, in, c.Plan, specs, econ)
+	return failure.Input{Problem: c.Problem, FailureApps: failApps, GA: f.cfg.GA, Hooks: f.cfg.Hooks, Inject: f.cfg.Inject, Workers: f.cfg.Workers, Retry: f.cfg.Retry, Journal: f.cfg.Journal}, nil
 }
 
 // Report is the full output of a capacity-management pass.

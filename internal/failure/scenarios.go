@@ -17,12 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"ropus/internal/checkpoint"
-	"ropus/internal/parallel"
 	"ropus/internal/placement"
-	"ropus/internal/resilience"
 	"ropus/internal/robust"
 	"ropus/internal/telemetry"
 )
@@ -232,13 +229,7 @@ func ScoreScenario(affectedApps []string, feasible bool, econ *Economics) (total
 // byte-identical at every worker count and across checkpoint resumes.
 func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, specs []ScenarioSpec, econ *Economics) (report *MultiReport, err error) {
 	defer robust.Recover("failure.AnalyzeScenarios", &err)
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if basePlan == nil {
-		return nil, errors.New("failure: nil base plan")
-	}
-	if err := basePlan.Assignment.Validate(in.Problem); err != nil {
+	if err := in.validateBase(basePlan); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
@@ -264,74 +255,40 @@ func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, s
 		seenName[s.Name] = true
 	}
 
-	h := telemetry.OrNop(in.Hooks)
 	ctx, span := telemetry.StartSpanCtx(ctx, in.Hooks, "failure.analyze_scenarios",
 		telemetry.Int("scenarios", len(specs)),
 		telemetry.Int("servers", len(in.Problem.Servers)))
 	defer span.End()
-	scenarioC := h.Counter("failure_scenarios_total")
-	infeasibleC := h.Counter("failure_infeasible_scenarios_total")
-	errorC := h.Counter("failure_scenario_errors_total")
-	replayC := h.Counter("failure_scenarios_replayed_total")
-	appendErrC := h.Counter("checkpoint_append_errors_total")
-	cascadeC := h.Counter("failure_cascade_failures_total")
-	scenarioSecs := h.Histogram("failure_scenario_seconds", nil)
+	cascadeC := telemetry.OrNop(in.Hooks).Counter("failure_cascade_failures_total")
 
-	retry := in.Retry
-	if retry.Hooks == nil {
-		retry.Hooks = in.Hooks
-	}
-
-	scenarios := make([]MultiScenario, len(normalized))
-	scenarioErrs := make([]error, len(normalized))
-	done := parallel.ForEach(ctx, in.Workers, len(normalized), func(i int) {
-		spec := normalized[i]
+	jobs := make([]job, len(normalized))
+	failed := make([][]int, len(normalized))
+	for i, spec := range normalized {
 		hash := checkpoint.NewHasher()
 		spec.fold(hash)
-		key := hash.Sum()
-		var cached MultiScenario
-		if ok, cerr := in.Journal.Lookup(unitSpec, key, &cached); cerr == nil && ok {
-			scenarios[i] = cached
-			scenarioC.Inc()
-			replayC.Inc()
-			return
+		jobs[i] = job{id: spec.Name, key: hash.Sum()}
+		for _, id := range spec.Servers {
+			failed[i] = append(failed[i], serverIdx[id])
 		}
-		start := time.Now()
-		scenario, stats, err := resilience.Do(ctx, retry, spec.Name,
-			func(attemptCtx context.Context) (MultiScenario, error) {
-				return analyzeSpec(attemptCtx, ctx, in, basePlan, spec, serverIdx)
-			})
-		scenario.Attempts = stats.Attempts
-		scenario.Recovered = stats.Recovered
-		scenario.GaveUp = stats.GaveUp
-		scenarioC.Inc()
-		cascadeC.Add(int64(len(scenario.CascadeAdded)))
-		scenarioSecs.Observe(time.Since(start).Seconds())
-		// See Analyze: only clean, complete verdicts are checkpointed.
-		// Economics are deliberately not part of the record — they are
-		// applied at assembly, so re-pricing never invalidates a journal.
-		if err == nil && ctx.Err() == nil && (scenario.Plan == nil || !scenario.Plan.Truncated) {
-			if aerr := in.Journal.Append(unitSpec, key, scenario); aerr != nil {
-				appendErrC.Inc()
-			}
-		}
-		scenarios[i], scenarioErrs[i] = scenario, err
-	})
-
-	done, truncated := completedPrefix(ctx, done, len(normalized), scenarioErrs, func(i int) *placement.Plan { return scenarios[i].Plan })
-	report = &MultiReport{K: 0, Truncated: truncated}
-	errored := 0
-	for i := 0; i < done; i++ {
-		scenario := scenarios[i]
-		if err := scenarioErrs[i]; err != nil {
-			scenario.Err = fmt.Errorf("failure: scenario %q: %w", scenario.Name, err)
-			scenario.ErrText = scenario.Err.Error()
-			errorC.Inc()
-			errored++
-		} else if !scenario.Feasible {
-			infeasibleC.Inc()
-			report.SparesNeeded = true
-		}
+	}
+	eval := func(ctx, parent context.Context, i int) (MultiScenario, error) {
+		return evaluate(ctx, parent, in, basePlan, jobs[i].id, failed[i], normalized[i])
+	}
+	countCascade := func(s *MultiScenario) { cascadeC.Add(int64(len(s.CascadeAdded))) }
+	// Economics are deliberately not part of the checkpointed record —
+	// they are applied below, so re-pricing never invalidates a journal.
+	scenarios, errored, spare, truncated, err := sweep(ctx, in, unitSpec, jobs, eval, countCascade)
+	span.SetAttr(
+		telemetry.Int("scenarios", len(scenarios)),
+		telemetry.Int("errors", errored),
+		telemetry.Bool("spares_needed", spare),
+		telemetry.Bool("truncated", truncated))
+	if err != nil {
+		return nil, err
+	}
+	report = &MultiReport{K: 0, Scenarios: scenarios, SparesNeeded: spare, Truncated: truncated}
+	for i := range report.Scenarios {
+		scenario := &report.Scenarios[i]
 		// Price the verdict. Inconclusive scenarios score as infeasible —
 		// the conservative upper bound — but stay excluded from
 		// SparesNeeded, matching the other sweeps.
@@ -340,93 +297,8 @@ func AnalyzeScenarios(ctx context.Context, in Input, basePlan *placement.Plan, s
 		scenario.RevenueAtRisk, scenario.AppRisk = ScoreScenario(scenario.AffectedApps, feasible, econ)
 		scenario.ExpectedRevenueAtRisk = scenario.Probability * scenario.RevenueAtRisk
 		report.TotalExpectedRevenueAtRisk += scenario.ExpectedRevenueAtRisk
-		report.Scenarios = append(report.Scenarios, scenario)
-	}
-	span.SetAttr(
-		telemetry.Int("scenarios", len(report.Scenarios)),
-		telemetry.Int("errors", errored),
-		telemetry.Bool("spares_needed", report.SparesNeeded),
-		telemetry.Bool("truncated", report.Truncated))
-	if errored > 0 && errored == len(report.Scenarios) {
-		return nil, fmt.Errorf("failure: every scenario failed to evaluate: %w", errors.Join(report.Errors()...))
 	}
 	return report, nil
-}
-
-// analyzeSpec evaluates one scenario spec: fault injection, cascade
-// closure, then the reduced re-consolidation. ctx is the attempt
-// context, parent the sweep context (see analyzeScenario).
-func analyzeSpec(ctx, parent context.Context, in Input, basePlan *placement.Plan, spec ScenarioSpec, serverIdx map[string]int) (MultiScenario, error) {
-	p := in.Problem
-	failed := make(map[int]bool, len(spec.Servers))
-	for _, id := range spec.Servers {
-		failed[serverIdx[id]] = true
-	}
-	scenario := MultiScenario{Name: spec.Name, Theta: spec.Theta}
-	setFailedIDs := func() {
-		scenario.FailedServers = scenario.FailedServers[:0]
-		for i := range p.Servers {
-			if failed[i] {
-				scenario.FailedServers = append(scenario.FailedServers, p.Servers[i].ID)
-			}
-		}
-	}
-	setFailedIDs()
-
-	if in.Inject != nil {
-		o := in.Inject.Hit("failure.scenario", spec.Name)
-		if o.Delay > 0 {
-			t := time.NewTimer(o.Delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return scenario, ctx.Err()
-			}
-		}
-		if o.Err != nil {
-			return scenario, o.Err
-		}
-	}
-
-	if spec.Cascade {
-		added, rounds := cascadeClosure(in, basePlan, failed, spec.MaxRounds, spec.OverloadFactor)
-		scenario.CascadeRounds = rounds
-		for _, s := range added {
-			scenario.CascadeAdded = append(scenario.CascadeAdded, p.Servers[s].ID)
-			failed[s] = true
-		}
-		setFailedIDs()
-	}
-
-	var affected []int
-	for app, srv := range basePlan.Assignment {
-		if failed[srv] {
-			affected = append(affected, app)
-		}
-	}
-	sort.Ints(affected)
-	for _, a := range affected {
-		scenario.AffectedApps = append(scenario.AffectedApps, p.Apps[a].ID)
-	}
-
-	if len(p.Servers) <= len(failed) {
-		return scenario, nil // nothing survives
-	}
-	feasible, plan, servers, err := consolidateSurvivors(ctx, in, basePlan, failed, affected, spec.Theta)
-	if err != nil {
-		return scenario, err
-	}
-	if plan != nil && plan.Truncated && ctx.Err() != nil && parent.Err() == nil {
-		return scenario, resilience.MarkTransient(
-			fmt.Errorf("failure: scenario %q: attempt deadline cut the search short", spec.Name))
-	}
-	if feasible {
-		scenario.Feasible = true
-		scenario.Plan = plan
-		scenario.Servers = servers
-	}
-	return scenario, nil
 }
 
 // cascadeClosure computes the deterministic overload fixed point: apps
@@ -498,71 +370,4 @@ func cascadeClosure(in Input, basePlan *placement.Plan, failed map[int]bool, max
 		sort.Ints(added)
 	}
 	return added, rounds
-}
-
-// consolidateSurvivors builds the reduced problem — failed servers
-// removed, affected applications on their failure-mode translation,
-// optional θ override — and runs the consolidation search from the
-// deterministic evacuation seed. It is the common tail of analyzeCombo
-// and analyzeSpec.
-func consolidateSurvivors(ctx context.Context, in Input, basePlan *placement.Plan, failed map[int]bool, affected []int, thetaOverride float64) (feasible bool, plan *placement.Plan, servers []placement.Server, err error) {
-	p := in.Problem
-	isAffected := make(map[int]bool, len(affected))
-	for _, a := range affected {
-		isAffected[a] = true
-	}
-	apps := make([]placement.App, len(p.Apps))
-	for i := range p.Apps {
-		if isAffected[i] {
-			apps[i] = in.FailureApps[i]
-		} else {
-			apps[i] = p.Apps[i]
-		}
-	}
-	servers = make([]placement.Server, 0, len(p.Servers)-len(failed))
-	oldToNew := make([]int, len(p.Servers))
-	for i, s := range p.Servers {
-		if failed[i] {
-			oldToNew[i] = -1
-			continue
-		}
-		oldToNew[i] = len(servers)
-		servers = append(servers, s)
-	}
-	commitment := p.Commitment
-	if thetaOverride > 0 {
-		commitment.Theta = thetaOverride
-	}
-	reduced := &placement.Problem{
-		Apps:          apps,
-		Servers:       servers,
-		Commitment:    commitment,
-		SlotsPerDay:   p.SlotsPerDay,
-		DeadlineSlots: p.DeadlineSlots,
-		Tolerance:     p.Tolerance,
-		Hooks:         in.Hooks,
-		Inject:        in.Inject,
-		// The shared simulation cache stays valid across scenarios — and
-		// across θ overrides, because the commitment is part of the
-		// cached entries' content hash.
-		Cache: p.Cache,
-	}
-	initial := make(placement.Assignment, len(apps))
-	next := 0
-	for i, old := range basePlan.Assignment {
-		if mapped := oldToNew[old]; mapped >= 0 {
-			initial[i] = mapped
-			continue
-		}
-		initial[i] = next % len(servers)
-		next++
-	}
-	plan, err = placement.Consolidate(ctx, reduced, initial, in.GA)
-	if errors.Is(err, placement.ErrNoFeasible) {
-		return false, nil, servers, nil
-	}
-	if err != nil {
-		return false, nil, nil, err
-	}
-	return true, plan, servers, nil
 }
