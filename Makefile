@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke bench-batched bench-obs-overhead bench-fleet experiments fuzz golden serve-e2e fleet-e2e clean
+.PHONY: all build vet test race cover bench bench-smoke bench-batched bench-obs-overhead bench-fleet perfbench experiments fuzz golden serve-e2e fleet-e2e clean
 
 all: build vet test race
 
@@ -58,6 +58,12 @@ bench-obs-overhead:
 # regression gate. CI runs this in the bench smoke job.
 bench-fleet:
 	ROPUS_BENCH_FLEET=1 $(GO) test -run TestFleetScaleBench -count=1 -v .
+
+# One run of the repository benchmark (perfbench/, declared in
+# BENCHMARK.json) on workload W: table1, failover, fleet-1k or serve-mix.
+W ?= table1
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed 42 --seconds 20 --trace 0
 
 # Regenerate every table and figure of the paper's evaluation into results/.
 experiments:

@@ -26,10 +26,10 @@ const (
 	fleetScaleApps          = 1000
 	fleetScalePartitionApps = 25
 	// fleetScaleBudget bounds the benchmarked end-to-end plan. The run
-	// takes a few seconds on a developer laptop; the budget leaves an
-	// order of magnitude for slow CI machines while still catching a
-	// complexity regression (the flat GA at this size runs for hours).
-	fleetScaleBudget = 120 * time.Second
+	// takes under 2 s on a 2-vCPU host; the budget leaves ~5x for slow
+	// CI machines while still catching a several-fold regression (the
+	// flat GA at this size runs for hours).
+	fleetScaleBudget = 10 * time.Second
 )
 
 // fleetScaleSet generates the deterministic 1000-app heterogeneous

@@ -51,17 +51,20 @@ func attributeUnion(apps []App) []Attribute {
 // validateAttributes checks the multi-attribute invariants: every extra
 // workload is valid, aligned with the primary trace, and named
 // consistently; every server provides a positive capacity for every
-// attribute in use.
-func validateAttributes(p *Problem) error {
+// attribute in use. It records each checked extra workload in checked.
+func validateAttributes(p *Problem, checked []checkedApp) error {
 	attrs := attributeUnion(p.Apps)
 	if len(attrs) == 0 {
 		return nil
 	}
-	for _, a := range p.Apps {
+	for i, a := range p.Apps {
+		checked[i].extra = make(map[Attribute]sim.Checked, len(a.Extra))
 		for attr, w := range a.Extra {
-			if err := w.Validate(); err != nil {
+			c, err := sim.Check(w)
+			if err != nil {
 				return fmt.Errorf("placement: app %q attribute %q: %w", a.ID, attr, err)
 			}
+			checked[i].extra[attr] = c
 			if w.AppID != a.ID {
 				return fmt.Errorf("placement: app %q attribute %q names workload %q",
 					a.ID, attr, w.AppID)
@@ -94,35 +97,17 @@ func (e *evaluator) evalAttributes(ctx context.Context, srv Server, apps []int) 
 	}
 	required := make(map[Attribute]float64, len(attrs))
 	allFit := true
-	cfg := sim.Config{
-		Commitment:    e.p.Commitment,
-		SlotsPerDay:   e.p.SlotsPerDay,
-		DeadlineSlots: e.p.DeadlineSlots,
-		Hooks:         e.p.Hooks,
-		Inject:        e.p.Inject,
-		InjectKey:     srv.ID,
-	}
 	for _, attr := range attrs {
-		workloads := make([]sim.Workload, 0, len(apps))
-		for _, a := range apps {
-			if w, ok := e.p.Apps[a].Extra[attr]; ok {
-				workloads = append(workloads, w)
-			}
+		out, _, found, err := e.search(ctx, srv, apps, attr, srv.Extra[attr])
+		if err != nil {
+			return nil, false, err
 		}
-		if len(workloads) == 0 {
+		if !found {
 			required[attr] = 0
 			continue
 		}
-		agg, err := sim.NewAggregate(workloads)
-		if err != nil {
-			return nil, false, err
-		}
-		req, _, ok, err := agg.RequiredCapacity(ctx, cfg, srv.Extra[attr], e.p.tolerance())
-		if err != nil {
-			return nil, false, err
-		}
-		required[attr] = req
-		if !ok {
+		required[attr] = out.Capacity
+		if !out.Feasible {
 			allFit = false
 		}
 	}

@@ -145,21 +145,21 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 
 	// Seed the population with the initial assignment, optional greedy
 	// packings, and mutated copies of the initial assignment.
+	// Members are score-only plans (no Usages): selection never reads
+	// them, and the returned plan is re-evaluated in full at the end.
 	pop := make([]*Plan, 0, cfg.PopulationSize)
-	first, err := ev.evaluate(seedCtx, initial)
+	first, err := ev.score(seedCtx, initial.Clone())
 	if err != nil {
 		return nil, err
 	}
 	pop = append(pop, first)
 	if cfg.SeedGreedy {
-		for _, greedyFn := range []func(context.Context, *Problem) (*Plan, error){FirstFitDecreasing, BestFitDecreasing} {
-			plan, err := greedyFn(seedCtx, p)
+		for _, pick := range []func([]candidate) candidate{pickFirstFit, pickBestFit} {
+			a, err := greedy(seedCtx, ev, pick)
 			if err != nil {
 				continue // a greedy failure just means no warm start
 			}
-			// Re-evaluate through this run's evaluator so the plan
-			// shares its cache and tolerance.
-			seeded, err := ev.evaluate(seedCtx, plan.Assignment)
+			seeded, err := ev.score(seedCtx, a)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +169,7 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 	for len(pop) < cfg.PopulationSize {
 		a := initial.Clone()
 		mutate(a, p, rng)
-		plan, err := ev.evaluate(seedCtx, a)
+		plan, err := ev.score(seedCtx, a)
 		if err != nil {
 			return nil, err
 		}
@@ -252,16 +252,18 @@ func Consolidate(ctx context.Context, p *Problem, initial Assignment, cfg GAConf
 		}
 		return nil, fmt.Errorf("%w after %d generations", ErrNoFeasible, cfg.MaxGenerations)
 	}
+	// Fill in the usages of the plan returned: every (server, group) of
+	// best is already in the evaluator's cache, so this runs no search.
+	full, err := ev.evaluate(seedCtx, best.Assignment)
+	if err != nil {
+		return nil, err
+	}
 	if truncated {
 		truncatedC.Inc()
-		// Copy before flagging: best may alias a population member that
-		// the evaluator's cache or the caller's initial plan shares.
-		partial := *best
-		partial.Truncated = true
-		best = &partial
+		full.Truncated = true
 	}
-	span.SetAttr(telemetry.Int("servers_used", best.ServersUsed), telemetry.Float("score", best.Score))
-	return best, nil
+	span.SetAttr(telemetry.Int("servers_used", full.ServersUsed), telemetry.Float("score", full.Score))
+	return full, nil
 }
 
 // meanPlanScore returns the population's mean consolidation score.
@@ -276,18 +278,19 @@ func meanPlanScore(pop []*Plan) float64 {
 	return sum / float64(len(pop))
 }
 
-// evaluateAll evaluates assignments on the shared worker pool (one
+// evaluateAll scores assignments on the shared worker pool (one
 // worker per GOMAXPROCS), preserving order. The evaluator's cache is
 // shared and thread-safe, so duplicate groupings are still computed only
 // ~once, and because every evaluation is a pure content-keyed function
-// the results are identical at any worker count. It returns the first
+// the results are identical at any worker count. The plans take
+// ownership of the assignments and carry no Usages. It returns the first
 // error in assignment order, or ctx's error when cancellation stopped
 // dispatch before every assignment ran.
 func evaluateAll(ctx context.Context, ev *evaluator, assignments []Assignment) ([]*Plan, error) {
 	plans := make([]*Plan, len(assignments))
 	errs := make([]error, len(assignments))
 	done := parallel.ForEach(ctx, 0, len(assignments), func(i int) {
-		plans[i], errs[i] = ev.evaluate(ctx, assignments[i])
+		plans[i], errs[i] = ev.score(ctx, assignments[i])
 	})
 	for _, err := range errs[:done] {
 		if err != nil {
@@ -370,6 +373,15 @@ func mutate(a Assignment, p *Problem, rng *rand.Rand) {
 	emptyOneServer(a, p, rng)
 }
 
+// serverCounts returns how many applications each server hosts.
+func serverCounts(a Assignment, servers int) []int {
+	counts := make([]int, servers)
+	for _, s := range a {
+		counts[s]++
+	}
+	return counts
+}
+
 // moveOneApp reassigns one random application to another server that is
 // currently in use (or any server when only one is used).
 func moveOneApp(a Assignment, p *Problem, rng *rand.Rand) {
@@ -377,10 +389,9 @@ func moveOneApp(a Assignment, p *Problem, rng *rand.Rand) {
 		return
 	}
 	app := rng.Intn(len(a))
-	groups := groupByServer(a, len(p.Servers))
 	var used []int
-	for s, g := range groups {
-		if len(g) > 0 && s != a[app] {
+	for s, n := range serverCounts(a, len(p.Servers)) {
+		if n > 0 && s != a[app] {
 			used = append(used, s)
 		}
 	}
@@ -393,10 +404,10 @@ func moveOneApp(a Assignment, p *Problem, rng *rand.Rand) {
 
 // emptyOneServer migrates every application off one donor server.
 func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
-	groups := groupByServer(a, len(p.Servers))
+	counts := serverCounts(a, len(p.Servers))
 	var used []int
-	for s, g := range groups {
-		if len(g) > 0 {
+	for s, n := range counts {
+		if n > 0 {
 			used = append(used, s)
 		}
 	}
@@ -413,7 +424,7 @@ func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
 	weights := make([]float64, len(used))
 	total := 0.0
 	for i, s := range used {
-		w := 1 / float64(len(groups[s]))
+		w := 1 / float64(counts[s])
 		weights[i] = w
 		total += w
 	}
@@ -426,8 +437,13 @@ func emptyOneServer(a Assignment, p *Problem, rng *rand.Rand) {
 		}
 		r -= w
 	}
-	// Migrate every app on the donor to another used server.
-	for _, app := range groups[donor] {
+	// Migrate every app on the donor, in index order, to another used
+	// server. Moved apps never land on the donor, so the scan sees
+	// exactly the donor's original apps.
+	for app := range a {
+		if a[app] != donor {
+			continue
+		}
 		dest := donor
 		for dest == donor {
 			dest = used[rng.Intn(len(used))]

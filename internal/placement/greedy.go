@@ -18,14 +18,14 @@ import (
 // per-application placement steps with a wrapped ctx error (greedy
 // packings have no useful partial result).
 func FirstFitDecreasing(ctx context.Context, p *Problem) (*Plan, error) {
-	return greedy(ctx, p, pickFirstFit)
+	return greedyPlan(ctx, p, pickFirstFit)
 }
 
 // BestFitDecreasing places applications in order of decreasing peak
 // allocation, each onto the feasible server whose resulting required
 // capacity leaves the least headroom (the tightest fit).
 func BestFitDecreasing(ctx context.Context, p *Problem) (*Plan, error) {
-	return greedy(ctx, p, pickBestFit)
+	return greedyPlan(ctx, p, pickBestFit)
 }
 
 // candidate is a feasible placement option for one application.
@@ -57,12 +57,23 @@ func pickBestFit(cands []candidate) candidate {
 	return best
 }
 
-func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (*Plan, error) {
+// greedyPlan validates p and evaluates the greedy packing in full.
+func greedyPlan(ctx context.Context, p *Problem, pick func([]candidate) candidate) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	ev := newEvaluator(p)
+	a, err := greedy(ctx, ev, pick)
+	if err != nil {
+		return nil, err
+	}
+	return ev.evaluate(ctx, a)
+}
 
+// greedy packs the evaluator's validated problem, placing each
+// application on the feasible server pick chooses.
+func greedy(ctx context.Context, ev *evaluator, pick func([]candidate) candidate) (Assignment, error) {
+	p := ev.p
 	// Order applications by decreasing peak total allocation.
 	order := make([]int, len(p.Apps))
 	for i := range order {
@@ -82,14 +93,18 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 
 	groups := make([][]int, len(p.Servers))
 	assignment := make(Assignment, len(p.Apps))
+	var (
+		cands []candidate
+		group []int // a server's group with the app inserted in order
+	)
 	for _, app := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("placement: greedy packing: %w", err)
 		}
-		var cands []candidate
+		cands = cands[:0]
 		for s := range p.Servers {
-			group := append(append([]int(nil), groups[s]...), app)
-			sort.Ints(group)
+			i := sort.SearchInts(groups[s], app)
+			group = append(append(append(group[:0], groups[s][:i]...), app), groups[s][i:]...)
 			usage, err := ev.evalServer(ctx, s, group)
 			if err != nil {
 				return nil, err
@@ -111,5 +126,5 @@ func greedy(ctx context.Context, p *Problem, pick func([]candidate) candidate) (
 		sort.Ints(groups[chosen.server])
 		assignment[app] = chosen.server
 	}
-	return ev.evaluate(ctx, assignment)
+	return assignment, nil
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -142,9 +141,30 @@ type Problem struct {
 	// set: fault-injection points must fire per evaluation.
 	Cache *SimCache
 
-	// attrs caches the sorted union of extra attributes; set by
-	// Validate.
-	attrs []Attribute
+	// attrs caches the sorted union of extra attributes, and checked
+	// every app's traces as sim checked them (indexed like Apps); both
+	// are set by Validate, the one place app traces are validated.
+	attrs   []Attribute
+	checked []checkedApp
+}
+
+// checkedApp is one application's traces after Problem.Validate: the
+// primary workload and, per extra attribute the app carries, that
+// attribute's workload. The evaluator builds every aggregate from these,
+// so no slot is validated twice.
+type checkedApp struct {
+	primary sim.Checked
+	extra   map[Attribute]sim.Checked
+}
+
+// trace returns app a's checked trace for attr, where "" is the primary
+// attribute; ok is false when the app does not carry attr.
+func (p *Problem) trace(a int, attr Attribute) (c sim.Checked, ok bool) {
+	if attr == "" {
+		return p.checked[a].primary, true
+	}
+	c, ok = p.checked[a].extra[attr]
+	return c, ok
 }
 
 // Validate checks the problem's structural invariants.
@@ -156,11 +176,14 @@ func (p *Problem) Validate() error {
 		return errors.New("placement: no servers")
 	}
 	seenApp := make(map[string]bool, len(p.Apps))
+	checked := make([]checkedApp, len(p.Apps))
 	n := -1
-	for _, a := range p.Apps {
-		if err := a.Workload.Validate(); err != nil {
+	for i, a := range p.Apps {
+		c, err := sim.Check(a.Workload)
+		if err != nil {
 			return err
 		}
+		checked[i].primary = c
 		if a.ID == "" || a.ID != a.Workload.AppID {
 			return fmt.Errorf("placement: app ID %q must match workload ID %q", a.ID, a.Workload.AppID)
 		}
@@ -196,10 +219,11 @@ func (p *Problem) Validate() error {
 	if p.Score != ScorePaper && p.Score != ScoreLinear {
 		return fmt.Errorf("placement: unknown score model %v", p.Score)
 	}
-	if err := validateAttributes(p); err != nil {
+	if err := validateAttributes(p, checked); err != nil {
 		return err
 	}
 	p.attrs = attributeUnion(p.Apps)
+	p.checked = checked
 	return p.Commitment.Validate()
 }
 
@@ -354,6 +378,12 @@ type evaluator struct {
 }
 
 func newEvaluator(p *Problem) *evaluator {
+	if len(p.checked) != len(p.Apps) && p.Validate() != nil {
+		// Entry points validate before evaluating. A problem that was
+		// never validated is checked here; if that fails, its traces
+		// stay unchecked and sim rejects them at the first search.
+		p.checked = make([]checkedApp, len(p.Apps))
+	}
 	h := telemetry.OrNop(p.Hooks)
 	e := &evaluator{
 		p:     p,
@@ -517,28 +547,12 @@ func (e *evaluator) searchPrimary(ctx context.Context, srv Server, apps []int) (
 			return w.required, w.result, true, nil
 		}
 	}
-	workloads := make([]sim.Workload, len(apps))
-	for i, a := range apps {
-		workloads[i] = e.p.Apps[a].Workload
-	}
-	agg, err := sim.NewAggregate(workloads)
-	if err != nil {
-		return 0, sim.Result{}, false, err
-	}
-	cfg := sim.Config{
-		Commitment:    e.p.Commitment,
-		SlotsPerDay:   e.p.SlotsPerDay,
-		DeadlineSlots: e.p.DeadlineSlots,
-		Hooks:         e.p.Hooks,
-		Inject:        e.p.Inject,
-		InjectKey:     srv.ID,
-	}
-	out, err := agg.Search(ctx, cfg, srv.Capacity(), e.p.tolerance())
+	out, totalPeak, _, err := e.search(ctx, srv, apps, "", srv.Capacity())
 	if err != nil {
 		return 0, sim.Result{}, false, err
 	}
 	if e.shared != nil && out.Feasible && out.Unclamped {
-		w := warmResult{required: out.Capacity, result: out.Result, totalPeak: agg.TotalPeak()}
+		w := warmResult{required: out.Capacity, result: out.Result, totalPeak: totalPeak}
 		if n := e.shared.putWarm(wk, w); n > 0 {
 			e.evictC.Add(int64(n))
 		}
@@ -546,25 +560,77 @@ func (e *evaluator) searchPrimary(ctx context.Context, srv Server, apps []int) (
 	return out.Capacity, out.Result, out.Feasible, nil
 }
 
-// evaluate scores a full assignment.
+// checkedPool recycles the slices search gathers a group's checked
+// traces into.
+var checkedPool = sync.Pool{New: func() any { return new([]sim.Checked) }}
+
+// search runs the required-capacity search for one attribute of a
+// sorted app group ("" is the primary attribute) against limit, summing
+// the apps' checked traces into a pooled aggregate. found is false, and
+// nothing is searched, when no app in the group carries the attribute.
+func (e *evaluator) search(ctx context.Context, srv Server, apps []int, attr Attribute, limit float64) (out sim.SearchOutcome, totalPeak float64, found bool, err error) {
+	buf := checkedPool.Get().(*[]sim.Checked)
+	group := (*buf)[:0]
+	for _, a := range apps {
+		if c, ok := e.p.trace(a, attr); ok {
+			group = append(group, c)
+		}
+	}
+	if len(group) > 0 {
+		found = true
+		cfg := sim.Config{
+			Commitment:    e.p.Commitment,
+			SlotsPerDay:   e.p.SlotsPerDay,
+			DeadlineSlots: e.p.DeadlineSlots,
+			Hooks:         e.p.Hooks,
+			Inject:        e.p.Inject,
+			InjectKey:     srv.ID,
+		}
+		out, totalPeak, err = sim.SearchChecked(ctx, group, cfg, limit, e.p.tolerance())
+	}
+	clear(group) // drop the trace references while pooled
+	*buf = group
+	checkedPool.Put(buf)
+	return out, totalPeak, found, err
+}
+
+// evaluate scores a full assignment, per-server usages included.
 func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
+	return e.plan(ctx, a.Clone(), true)
+}
+
+// score evaluates an assignment's summary (Score, Feasible, ServersUsed,
+// RequiredTotal) without Usages, which is all the GA compares its
+// population on. The plan takes ownership of a.
+func (e *evaluator) score(ctx context.Context, a Assignment) (*Plan, error) {
+	return e.plan(ctx, a, false)
+}
+
+// plan evaluates every server of assignment a, keeping the per-server
+// usages only when usages is set. Scores are summed in server order
+// either way, so both forms agree bit for bit.
+func (e *evaluator) plan(ctx context.Context, a Assignment, usages bool) (*Plan, error) {
 	if err := a.Validate(e.p); err != nil {
 		return nil, err
 	}
-	groups := groupByServer(a, len(e.p.Servers))
-	plan := &Plan{
-		Assignment: a.Clone(),
-		Usages:     make([]ServerUsage, len(e.p.Servers)),
-		Feasible:   true,
+	g := groupingPool.Get().(*grouping)
+	defer groupingPool.Put(g)
+	g.build(a, len(e.p.Servers))
+	plan := &Plan{Assignment: a, Feasible: true}
+	if usages {
+		plan.Usages = make([]ServerUsage, len(e.p.Servers))
 	}
 	for s := range e.p.Servers {
-		usage, err := e.evalServer(ctx, s, groups[s])
+		apps := g.group(s)
+		usage, err := e.evalServer(ctx, s, apps)
 		if err != nil {
 			return nil, err
 		}
-		plan.Usages[s] = usage
+		if usages {
+			plan.Usages[s] = usage
+		}
 		plan.Score += usage.Value
-		if len(groups[s]) > 0 {
+		if len(apps) > 0 {
 			plan.ServersUsed++
 			plan.RequiredTotal += usage.Required
 			if !usage.Feasible {
@@ -575,17 +641,49 @@ func (e *evaluator) evaluate(ctx context.Context, a Assignment) (*Plan, error) {
 	return plan, nil
 }
 
-// groupByServer inverts an assignment into per-server sorted app-index
-// groups.
-func groupByServer(a Assignment, servers int) [][]int {
-	groups := make([][]int, servers)
+// grouping is an assignment inverted into per-server app groups by a
+// counting sort into one flat buffer: group s is
+// apps[start[s]:start[s+1]], ascending because apps are placed in index
+// order. Its buffers are reused across builds.
+type grouping struct {
+	start []int
+	apps  []int
+}
+
+// groupingPool recycles grouping buffers across evaluations.
+var groupingPool = sync.Pool{New: func() any { return new(grouping) }}
+
+// build inverts assignment a over the given number of servers.
+func (g *grouping) build(a Assignment, servers int) {
+	g.start = resize(g.start, servers+1)
+	clear(g.start)
+	g.apps = resize(g.apps, len(a))
+	for _, s := range a {
+		g.start[s+1]++
+	}
+	for s := 1; s <= servers; s++ {
+		g.start[s] += g.start[s-1]
+	}
+	// Use start[s] as group s's write cursor; afterwards it holds the
+	// group's end, which is group s+1's start, so shift it back.
 	for app, s := range a {
-		groups[s] = append(groups[s], app)
+		g.apps[g.start[s]] = app
+		g.start[s]++
 	}
-	for _, g := range groups {
-		sort.Ints(g)
+	copy(g.start[1:], g.start[:servers])
+	g.start[0] = 0
+}
+
+// group returns server s's apps, ascending. The slice aliases the
+// grouping's buffer and is valid until the next build.
+func (g *grouping) group(s int) []int { return g.apps[g.start[s]:g.start[s+1]] }
+
+// resize returns buf with length n, reallocating only to grow.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
 	}
-	return groups
+	return buf[:n]
 }
 
 // Evaluate scores an assignment against a problem without searching. A

@@ -120,6 +120,21 @@ func (r Result) Fits(required float64) bool {
 	return r.CoS1OK && r.DeadlineOK && r.Theta >= required-1e-12
 }
 
+// Checked is a workload that passed Validate. Only Check makes one, so
+// code holding a Checked may build aggregates from it without scanning
+// its slots again; that lets a caller validate its traces once at its
+// ingestion boundary instead of once per aggregate. A Checked shares
+// the workload's slices: mutating them afterwards voids the check.
+type Checked struct{ w Workload }
+
+// Check validates w and wraps it as a Checked workload.
+func Check(w Workload) (Checked, error) {
+	if err := w.Validate(); err != nil {
+		return Checked{}, err
+	}
+	return Checked{w: w}, nil
+}
+
 // Aggregate holds the per-slot aggregate CoS1/CoS2 allocations of a
 // workload group; computing it once amortizes replays across a binary
 // search over capacity. Construct with NewAggregate.
@@ -132,32 +147,83 @@ type Aggregate struct {
 // NewAggregate precomputes per-slot aggregate allocations. All
 // workloads must be valid and aligned.
 func NewAggregate(workloads []Workload) (*Aggregate, error) {
-	if len(workloads) == 0 {
-		return nil, errors.New("sim: no workloads")
-	}
-	n := len(workloads[0].CoS1)
-	agg := &Aggregate{cos1: make([]float64, n), cos2: make([]float64, n)}
-	for _, w := range workloads {
-		if err := w.Validate(); err != nil {
+	group := make([]Checked, len(workloads))
+	for i, w := range workloads {
+		c, err := Check(w)
+		if err != nil {
 			return nil, err
 		}
-		if len(w.CoS1) != n {
-			return nil, fmt.Errorf("sim: workload %q has %d slots, want %d", w.AppID, len(w.CoS1), n)
-		}
-		for i := range w.CoS1 {
-			agg.cos1[i] += w.CoS1[i]
-			agg.cos2[i] += w.CoS2[i]
-		}
+		group[i] = c
 	}
-	for i := range agg.cos1 {
-		if agg.cos1[i] > agg.cos1Peak {
-			agg.cos1Peak = agg.cos1[i]
-		}
-		if total := agg.cos1[i] + agg.cos2[i]; total > agg.totalPeak {
-			agg.totalPeak = total
-		}
+	agg := &Aggregate{}
+	if err := agg.sum(group); err != nil {
+		return nil, err
 	}
 	return agg, nil
+}
+
+// sum sets a to the per-slot sums of a checked group, reusing a's
+// buffers. Workloads are added in group order, so an aggregate rebuilt
+// from the same group is bit-identical however its buffers were used
+// before.
+func (a *Aggregate) sum(group []Checked) error {
+	if len(group) == 0 {
+		return errors.New("sim: no workloads")
+	}
+	n := len(group[0].w.CoS1)
+	if n == 0 {
+		return errors.New("sim: workload was not made by Check")
+	}
+	if cap(a.cos1) < n {
+		a.cos1 = make([]float64, n)
+		a.cos2 = make([]float64, n)
+	} else {
+		a.cos1 = a.cos1[:n]
+		a.cos2 = a.cos2[:n]
+		clear(a.cos1)
+		clear(a.cos2)
+	}
+	cos1, cos2 := a.cos1[:n], a.cos2[:n]
+	for _, c := range group {
+		w := c.w
+		if len(w.CoS1) != n {
+			return fmt.Errorf("sim: workload %q has %d slots, want %d", w.AppID, len(w.CoS1), n)
+		}
+		w1, w2 := w.CoS1[:n], w.CoS2[:n]
+		for i := range cos1 {
+			cos1[i] += w1[i]
+			cos2[i] += w2[i]
+		}
+	}
+	a.cos1Peak, a.totalPeak = 0, 0
+	for i := range a.cos1 {
+		if a.cos1[i] > a.cos1Peak {
+			a.cos1Peak = a.cos1[i]
+		}
+		if total := a.cos1[i] + a.cos2[i]; total > a.totalPeak {
+			a.totalPeak = total
+		}
+	}
+	return nil
+}
+
+// aggPool recycles aggregate buffers for SearchChecked.
+var aggPool = sync.Pool{New: func() any { return new(Aggregate) }}
+
+// SearchChecked sums a checked group into a pooled Aggregate, runs
+// Search on it, and returns the outcome together with the group's
+// TotalPeak. The sums and the search are exactly those of
+// NewAggregate(group...).Search, so the outcome is bit-identical, but
+// the aggregate's buffers are reused across calls and no slot is
+// re-validated.
+func SearchChecked(ctx context.Context, group []Checked, cfg Config, limit, tol float64) (SearchOutcome, float64, error) {
+	a := aggPool.Get().(*Aggregate)
+	defer aggPool.Put(a)
+	if err := a.sum(group); err != nil {
+		return SearchOutcome{}, 0, err
+	}
+	out, err := a.Search(ctx, cfg, limit, tol)
+	return out, a.totalPeak, err
 }
 
 // Slots returns the number of replay slots.
